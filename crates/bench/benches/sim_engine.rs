@@ -9,6 +9,9 @@
 //! Benchmarks measure the engine layers directly, below the unified
 //! `scdp-campaign` surface, through the engine-room constructors.
 
+#[path = "../../sim/tests/full_pass/mod.rs"]
+mod full_pass;
+
 use scdp_analyze::{CollapsedUniverse, DominatorChains, PrunedUniverse};
 use scdp_bench::{scalar_add_oracle, Bench};
 use scdp_campaign::{DatapathScenario, DfgSource, InputSpace};
@@ -16,7 +19,9 @@ use scdp_core::{Operator, Technique};
 use scdp_netlist::gen::{self_checking, SelfCheckingSpec};
 use scdp_netlist::StuckAtLine;
 use scdp_obs::Recorder;
-use scdp_sim::{correlated_coverage, par, Engine, EngineCampaign, FaultOutcome, InputPlan, Lanes};
+use scdp_sim::{
+    correlated_coverage, par, DropPolicy, Engine, EngineCampaign, FaultOutcome, InputPlan, Lanes,
+};
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -59,7 +64,7 @@ fn main() {
     bench.sample_elements("bitparallel_dropping_w4", 10, situations, &mut || {
         black_box(
             EngineCampaign::over(&engine, groups.clone())
-                .drop_policy(scdp_sim::DropPolicy::OnDetect)
+                .drop_policy(DropPolicy::OnDetect)
                 .threads(1)
                 .run()
                 .simulated,
@@ -170,6 +175,33 @@ fn main() {
                     .per_fault,
             )
         });
+    // The cone-restricted engine against a full-pass campaign on the
+    // same universe: one good pass per batch, then every faulty
+    // machine over the whole netlist (the engine's inner loop before
+    // fanout cones). Bit-identity first, then the timing samples.
+    let fir_reference = EngineCampaign::over(&fir_engine, fir_groups.clone())
+        .plan(fir_plan)
+        .threads(1)
+        .run()
+        .per_fault;
+    assert_eq!(
+        fir_reference,
+        full_pass::full_pass_outcomes::<1>(&fir_engine, &fir_groups, fir_plan, DropPolicy::Never),
+        "acceptance: cone-restricted outcomes must be bit-identical to full passes"
+    );
+    let full_pass_fir =
+        bench.sample_elements("campaign_fullpass_fir_w8", 5, fir_situations, &mut || {
+            black_box(full_pass::full_pass_outcomes::<1>(
+                &fir_engine,
+                &fir_groups,
+                fir_plan,
+                DropPolicy::Never,
+            ))
+        });
+    let cone_speedup = full_pass_fir / unpruned_fir;
+    eprintln!("cone: {cone_speedup:.2}x over full passes on the w8 FIR line universe");
+    bench.metric("cone_speedup_fir_w8", cone_speedup);
+
     let pruned_fir_run = || -> (Vec<FaultOutcome>, [u64; 3]) {
         let pu = PrunedUniverse::build(&fir.netlist, &fir_groups);
         let untestable = pu.untestable_indices();
@@ -242,16 +274,10 @@ fn main() {
             [untestable.len() as u64, dominated, simulated_groups],
         )
     };
-    // Bit-identity first, then the timing samples.
-    let reference = EngineCampaign::over(&fir_engine, fir_groups.clone())
-        .plan(fir_plan)
-        .threads(1)
-        .run()
-        .per_fault;
     let (pruned_outcomes, [deduce_untestable, deduce_dominated, deduce_simulated]) =
         pruned_fir_run();
     assert_eq!(
-        pruned_outcomes, reference,
+        pruned_outcomes, fir_reference,
         "acceptance: pruned outcomes must be bit-identical to simulation"
     );
     let pruned_fir =

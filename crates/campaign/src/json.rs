@@ -173,6 +173,7 @@ pub const MAX_DEPTH: usize = 128;
 /// when containers nest deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, CampaignError> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -187,6 +188,7 @@ pub fn parse(text: &str) -> Result<Json, CampaignError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -350,13 +352,16 @@ impl Parser<'_> {
                     return Err(self.error("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).expect("input was a str");
-                    let c = text.chars().next().expect("non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the plain run up to the next quote, backslash
+                    // or control byte in one go. All three are ASCII, so
+                    // they never occur inside a multi-byte UTF-8 scalar
+                    // and the run ends on a char boundary.
+                    let end = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    s.push_str(&self.text[self.pos..end]);
+                    self.pos = end;
                 }
             }
         }
@@ -565,6 +570,40 @@ mod tests {
             parse(r#""\u0041\u00e9""#).unwrap().as_str(),
             Some("A\u{e9}")
         );
+    }
+
+    #[test]
+    fn multibyte_scalars_at_string_and_document_ends() {
+        // 2-, 3- and 4-byte UTF-8 scalars.
+        for c in ["\u{e9}", "\u{20ac}", "\u{1f600}"] {
+            // Whole string, at the end of a longer run, before an escape,
+            // and as the last value of the document.
+            for body in [
+                c.to_string(),
+                format!("ab{c}"),
+                format!("{c}{c}"),
+                format!("{c}\\n{c}"),
+            ] {
+                let want = body.replace("\\n", "\n");
+                assert_eq!(
+                    parse(&format!("\"{body}\"")).unwrap().as_str(),
+                    Some(want.as_str())
+                );
+                let doc = parse(&format!("{{\"k{c}\":[\"{body}\"]}}")).unwrap();
+                let key = format!("k{c}");
+                assert_eq!(
+                    doc.get(&key).unwrap().as_arr().unwrap()[0].as_str(),
+                    Some(want.as_str())
+                );
+            }
+            // An unterminated string ending in the scalar is a typed
+            // error at the document end, not a slice panic.
+            let text = format!("\"a{c}");
+            assert!(matches!(
+                parse(&text),
+                Err(CampaignError::Parse { offset, .. }) if offset == text.len()
+            ));
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub struct ExecPolicy {
     /// available cores). Validated against zero at `run()` time.
     pub threads: Option<usize>,
     /// Packed-engine lane width: how many 64-bit limbs each simulated
-    /// word carries ([`Lanes::Auto`] picks the widest). Results are
-    /// bit-identical at every width.
+    /// word carries ([`Lanes::Auto`] fits it to the plan's vectors per
+    /// fault). Results are bit-identical at every width.
     pub lanes: Lanes,
     /// When faults leave the simulated universe (gate level only).
     pub drop: DropPolicy,

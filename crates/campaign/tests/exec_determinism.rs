@@ -7,14 +7,25 @@
 //! cycle-accurate sequential).
 //!
 //! Thread counts include a prime (7) so block boundaries never align
-//! with the universe size, and exceed this machine's core count, so
-//! the work-stealing path (not just the home-block path) is on trial.
+//! with the universe size, and exceed a typical core count, so the
+//! work-stealing path (not just the home-block path) is on trial.
+//!
+//! The cone axis: the engine evaluates each faulty machine over its
+//! fault group's fanout cone only. The combinational shapes' per-fault
+//! rows are pinned against a cone-free full-pass oracle under every
+//! drop policy, lane width and collapse setting.
+
+#[path = "../../sim/tests/full_pass/mod.rs"]
+mod full_pass;
 
 use scdp_campaign::{
-    Backend, CampaignReport, DatapathScenario, DfgSource, ExecPolicy, FaultDuration, InputSpace,
-    Lanes, Scenario,
+    datapath_input_plan, Backend, CampaignReport, DatapathScenario, DfgSource, DropPolicy,
+    ExecPolicy, FaultDuration, InputPlan, InputSpace, Lanes, Scenario,
 };
 use scdp_core::{Operator, Technique};
+use scdp_netlist::gen::{self_checking, SelfCheckingSpec};
+use scdp_netlist::StuckAtLine;
+use scdp_sim::Engine;
 
 const THREADS: [usize; 4] = [1, 2, 4, 7];
 const LANES: [Lanes; 3] = [Lanes::L1, Lanes::L4, Lanes::L8];
@@ -158,4 +169,91 @@ fn drop_policies_are_execution_invariant() {
             }
         }
     }
+}
+
+/// Pins `build`'s per-fault rows against the full-pass oracle over
+/// `groups` under every drop policy × lane width × collapse setting.
+fn assert_cone_matches_full_pass(
+    shape: &str,
+    engine: &Engine,
+    groups: &[Vec<StuckAtLine>],
+    plan: InputPlan,
+    build: impl Fn(ExecPolicy) -> CampaignReport,
+) {
+    for drop in [
+        DropPolicy::Never,
+        DropPolicy::OnDetect,
+        DropPolicy::OnEscape,
+    ] {
+        let oracle = full_pass::full_pass_outcomes::<1>(engine, groups, plan, drop);
+        for lanes in LANES {
+            for collapse in [false, true] {
+                let exec = ExecPolicy::new()
+                    .threads(2)
+                    .lanes(lanes)
+                    .drop_policy(drop)
+                    .collapse(collapse);
+                let rows: Vec<_> = build(exec)
+                    .per_fault
+                    .iter()
+                    .map(|r| (r.tally, r.detected, r.escaped, r.dropped_after))
+                    .collect();
+                let want: Vec<_> = oracle
+                    .iter()
+                    .map(|o| (o.tally, o.detected, o.escaped, o.dropped_after))
+                    .collect();
+                assert_eq!(
+                    rows, want,
+                    "{shape}: cone vs full pass, {drop:?}, {lanes:?}, collapse={collapse}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn gate_level_rows_match_the_full_pass_oracle() {
+    let (op, width, technique) = (Operator::Sub, 3, Technique::Both);
+    let dp = self_checking(SelfCheckingSpec {
+        op,
+        technique,
+        width,
+    });
+    let groups: Vec<_> = dp
+        .local_sites()
+        .into_iter()
+        .flat_map(|site| [false, true].map(|v| dp.correlated_fault(site, v)))
+        .collect();
+    let engine = Engine::new(&dp.netlist);
+    assert_cone_matches_full_pass("gate", &engine, &groups, InputPlan::Exhaustive, |exec| {
+        Scenario::new(op, width)
+            .technique(technique)
+            .campaign()
+            .backend(Backend::GateLevel)
+            .exec(exec)
+            .run()
+            .expect("gate campaign")
+    });
+}
+
+#[test]
+fn datapath_rows_match_the_full_pass_oracle() {
+    let scenario = DatapathScenario::new(DfgSource::Dot, 2).technique(Technique::Tech1);
+    let dp = scenario.elaborate();
+    let (groups, _) = dp.fault_universe();
+    let engine = Engine::new(&dp.netlist);
+    let space = InputSpace::Sampled {
+        per_fault: 200,
+        seed: 0xC04E,
+    };
+    let plan = datapath_input_plan(space, dp.netlist.input_bits()).expect("sampled plan");
+    assert_cone_matches_full_pass("datapath", &engine, &groups, plan, |exec| {
+        scenario
+            .clone()
+            .campaign()
+            .input_space(space)
+            .exec(exec)
+            .run()
+            .expect("datapath campaign")
+    });
 }

@@ -3,7 +3,8 @@
 //! Deliberately tiny: the server speaks exactly the subset its four
 //! routes need — one request per connection (`Connection: close`),
 //! `Content-Length` bodies only, hard limits on header and body size,
-//! and a read timeout so a stalled client cannot pin a handler thread.
+//! and a read timeout so a stalled client cannot pin one of the
+//! server's few handler threads for long.
 //! Every limit violation maps to a typed [`HttpError`] the caller
 //! turns into a 4xx JSON response.
 

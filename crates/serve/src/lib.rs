@@ -3,7 +3,8 @@
 //! A long-running process that computes each graded campaign point
 //! once and serves it many times: hand-rolled HTTP/1.1 + JSON over
 //! [`std::net::TcpListener`] (no dependencies, consistent with the
-//! workspace's offline policy), a bounded worker pool executing
+//! workspace's offline policy) on a few long-lived connection handler
+//! threads, a bounded worker pool executing
 //! [`scdp_campaign::CampaignRunner`] jobs, and a content-addressed
 //! result cache keyed by the job's configuration fingerprint.
 //!

@@ -27,10 +27,20 @@ use scdp_campaign::json::Json;
 use scdp_campaign::{CampaignJob, CampaignRunner, EventSink, ObsEvent};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+
+/// Most connection handlers a server runs at once. Handlers are
+/// long-lived threads started on demand, so a request waits for a
+/// sleeping thread to wake rather than for a new thread to be created
+/// and scheduled — behind running campaign workers on a busy host, the
+/// latter took milliseconds. A stalled client holds one handler for at
+/// most [`http::READ_TIMEOUT`].
+const HANDLERS: usize = 4;
 
 /// How a server instance is configured.
 #[derive(Clone, Debug)]
@@ -90,6 +100,30 @@ struct Inner {
     queue: Mutex<VecDeque<String>>,
     work: Condvar,
     stop: AtomicBool,
+    handlers: Mutex<Handlers>,
+    /// Signalled whenever a handler becomes idle.
+    handler_idle: Condvar,
+}
+
+/// The connection handlers' bookkeeping.
+#[derive(Default)]
+struct Handlers {
+    /// How to reach each idle handler, the most recently idle last. It
+    /// gets the next connection, so sequential traffic keeps reusing
+    /// one warm thread and its allocator cache.
+    idle: Vec<Sender<Handoff>>,
+    /// Handlers started so far (at most [`HANDLERS`]).
+    started: usize,
+    /// Set when the acceptor exits: handlers then finish their
+    /// connection and stop.
+    closed: bool,
+}
+
+/// A connection handed to a handler, with the sender the handler
+/// re-registers as idle once the connection is served.
+struct Handoff {
+    stream: TcpStream,
+    back: Sender<Handoff>,
 }
 
 /// The campaign job server. [`Server::start`] binds, scans the job
@@ -126,6 +160,8 @@ impl Server {
             queue: Mutex::new(queue),
             work: Condvar::new(),
             stop: AtomicBool::new(false),
+            handlers: Mutex::new(Handlers::default()),
+            handler_idle: Condvar::new(),
         });
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -138,13 +174,25 @@ impl Server {
         let acceptor = {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || {
+                let mut handlers = Vec::new();
                 for conn in listener.incoming() {
                     if inner.stop.load(Ordering::SeqCst) {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let inner = Arc::clone(&inner);
-                    std::thread::spawn(move || handle_connection(&inner, stream));
+                    handlers.extend(dispatch(&inner, stream));
+                }
+                // Dropping the idle handlers' senders ends their wait;
+                // busy ones stop after their connection.
+                let mut pool = inner
+                    .handlers
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner);
+                pool.closed = true;
+                pool.idle.clear();
+                drop(pool);
+                for handler in handlers {
+                    let _ = handler.join();
                 }
             })
         };
@@ -173,7 +221,8 @@ impl ServerHandle {
         }
     }
 
-    /// Stops accepting, drains the worker pool (running jobs finish
+    /// Stops accepting, lets the handlers finish the connections
+    /// already accepted, drains the worker pool (running jobs finish
     /// their current shard set; their checkpoints survive for the next
     /// start) and joins every thread.
     pub fn shutdown(self) {
@@ -309,13 +358,72 @@ fn progress_sink(inner: &Arc<Inner>, id: &str) -> EventSink {
     })
 }
 
-/// Reads one request, routes it, writes one response, closes.
-fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
-    let (status, body) = match http::read_request(&mut stream) {
+/// Hands `stream` to the most recently idle handler, starting a new
+/// one if none is idle and fewer than [`HANDLERS`] run, and otherwise
+/// waiting for one to become idle. Returns a newly started handler.
+fn dispatch(inner: &Arc<Inner>, stream: TcpStream) -> Option<JoinHandle<()>> {
+    let mut pool = inner
+        .handlers
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    loop {
+        if let Some(handler) = pool.idle.pop() {
+            drop(pool);
+            let back = handler.clone();
+            // An idle handler waits on its receiver until it gets a
+            // connection or the acceptor closes, so this cannot fail.
+            let _ = handler.send(Handoff { stream, back });
+            return None;
+        }
+        if pool.started < HANDLERS {
+            pool.started += 1;
+            drop(pool);
+            let (back, incoming) = mpsc::channel();
+            let inner = Arc::clone(inner);
+            let first = Handoff { stream, back };
+            return Some(std::thread::spawn(move || {
+                handler_loop(&inner, first, &incoming);
+            }));
+        }
+        pool = inner
+            .handler_idle
+            .wait(pool)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+}
+
+/// One connection handler: serves the connections handed to it, one
+/// at a time, until the acceptor closes. A panicking request loses only
+/// its own connection, not the handler.
+fn handler_loop(inner: &Arc<Inner>, first: Handoff, incoming: &Receiver<Handoff>) {
+    let mut next = Some(first);
+    while let Some(Handoff { mut stream, back }) = next {
+        let _ = catch_unwind(AssertUnwindSafe(|| handle_connection(inner, &mut stream)));
+        // Re-register before closing: the client sees the end of the
+        // response only at close, so its next request finds this
+        // handler idle.
+        let mut pool = inner
+            .handlers
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if pool.closed {
+            return;
+        }
+        pool.idle.push(back);
+        drop(pool);
+        inner.handler_idle.notify_one();
+        drop(stream);
+        next = incoming.recv().ok();
+    }
+}
+
+/// Reads one request, routes it, writes one response.
+fn handle_connection(inner: &Arc<Inner>, stream: &mut TcpStream) {
+    let (status, body) = match http::read_request(stream) {
         Ok(request) => route(inner, &request),
         Err(e) => (e.status(), error_body(&e.to_string())),
     };
-    let _ = http::write_response(&mut stream, status, &body);
+    let _ = http::write_response(stream, status, &body);
 }
 
 /// The route table. Unknown paths are 404, known paths with the wrong

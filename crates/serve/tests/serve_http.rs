@@ -142,6 +142,30 @@ fn malformed_input_and_bad_routes_get_typed_errors() {
 }
 
 #[test]
+fn a_stalled_client_does_not_block_other_requests() {
+    let dir = temp_dir("stalled");
+    let (handle, addr) = start(&dir);
+
+    // A connection that never sends its request holds one handler
+    // until the read timeout; the others keep serving.
+    let stalled = std::net::TcpStream::connect(&addr).expect("connect");
+    let start = std::time::Instant::now();
+    for _ in 0..8 {
+        let health = client::request(&addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(health.status, 200);
+    }
+    assert!(
+        start.elapsed() < scdp_serve::http::READ_TIMEOUT / 2,
+        "requests waited {:?} behind a stalled client",
+        start.elapsed()
+    );
+
+    drop(stalled);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_restarted_server_resumes_interrupted_jobs_from_checkpoints() {
     let dir = temp_dir("resume");
 

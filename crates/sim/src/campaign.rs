@@ -4,7 +4,7 @@ use crate::batch::InputPlan;
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::par::{self, PoolStats};
-use crate::words::{LaneWord, Lanes};
+use crate::words::{LaneWord, Lanes, Words};
 use scdp_coverage::TechTally;
 use scdp_netlist::gen::SelfCheckingDatapath;
 use scdp_netlist::StuckAtLine;
@@ -89,9 +89,10 @@ impl CampaignSummary {
 /// the work-stealing pool ([`par::run_blocks`]); every block
 /// re-generates the same deterministic batch stream, simulates the good
 /// machine once per (wide) batch, then replays each of its live faults
-/// against the batch, consuming verdicts one 64-lane limb at a time.
-/// Results are therefore independent of the worker count, the
-/// scheduling order *and* the lane width.
+/// against the batch over the fault group's fanout cone only,
+/// consuming verdicts one 64-lane limb at a time. Results are
+/// therefore independent of the worker count, the scheduling order
+/// *and* the lane width, and equal to full faulty passes.
 #[derive(Clone, Debug)]
 pub struct EngineCampaign<'a> {
     engine: &'a Engine,
@@ -157,7 +158,8 @@ impl<'a> EngineCampaign<'a> {
 
     /// Selects the SIMD lane width (wide words per gate operation).
     /// Results are bit-identical at every width; [`Lanes::Auto`] picks
-    /// the widest supported path.
+    /// the narrowest width holding the plan's vectors per fault (see
+    /// [`Lanes::limbs_for`]).
     #[must_use]
     pub fn lanes(mut self, lanes: Lanes) -> Self {
         self.lanes = lanes;
@@ -201,10 +203,10 @@ impl<'a> EngineCampaign<'a> {
     }
 
     /// Attaches a telemetry recorder. The driver then counts fault
-    /// groups, per-fault batch evaluations, dropped faults and
-    /// simulated situations under `engine.*` (all thread-count and
-    /// shard invariant), plus per-worker busy time under
-    /// `engine.busy_ns`.
+    /// groups, per-fault batch evaluations, gates evaluated by faulty
+    /// machines, dropped faults and simulated situations under
+    /// `engine.*` (all thread-count, lane-width and shard invariant),
+    /// plus per-worker busy time under `engine.busy_ns`.
     #[must_use]
     pub fn recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
@@ -278,29 +280,30 @@ impl<'a> EngineCampaign<'a> {
             }
         }
         let block = par::auto_block(scoped.len(), self.threads);
-        let batch_evals = AtomicU64::new(0);
+        let counters = ChunkCounters::default();
         // One fault-free probe stands in for every skipped group; its
         // limbs count toward `batch_evals` exactly like a simulated
         // group's, keeping the counter deterministic.
         let probe = [Vec::new()];
+        let limbs = fitted_limbs(self.lanes, &self.plan, self.engine.input_bits());
         let baseline: Option<FaultOutcome> = skip_mask.contains(&true).then(|| {
-            match self.lanes.limbs() {
-                1 => self.run_chunk::<1>(&probe, &[false], &batch_evals),
-                4 => self.run_chunk::<4>(&probe, &[false], &batch_evals),
-                _ => self.run_chunk::<8>(&probe, &[false], &batch_evals),
+            match limbs {
+                1 => self.run_chunk::<1>(&probe, &[false], &counters),
+                4 => self.run_chunk::<4>(&probe, &[false], &counters),
+                _ => self.run_chunk::<8>(&probe, &[false], &counters),
             }
             .pop()
             .expect("probe chunk yields one outcome")
         });
-        let (mut per_fault, stats) = match self.lanes.limbs() {
+        let (mut per_fault, stats) = match limbs {
             1 => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<1>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
+                self.run_chunk::<1>(&scoped[r.clone()], &skip_mask[r], &counters)
             })?,
             4 => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<4>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
+                self.run_chunk::<4>(&scoped[r.clone()], &skip_mask[r], &counters)
             })?,
             _ => par::run_blocks(scoped.len(), self.threads, block, |r| {
-                self.run_chunk::<8>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
+                self.run_chunk::<8>(&scoped[r.clone()], &skip_mask[r], &counters)
             })?,
         };
         if let Some(b) = &baseline {
@@ -315,8 +318,12 @@ impl<'a> EngineCampaign<'a> {
                 rec,
                 "engine",
                 &per_fault,
-                batch_evals.load(Ordering::Relaxed),
+                counters.batch_evals.load(Ordering::Relaxed),
                 &stats,
+            );
+            rec.add(
+                "engine.gates_evaluated",
+                counters.gates_evaluated.load(Ordering::Relaxed),
             );
         }
         let mut tally = TechTally::default();
@@ -336,23 +343,31 @@ impl<'a> EngineCampaign<'a> {
     /// Simulates one block of the fault universe on the calling worker
     /// (PPSFP inner loop, `64 * L` situations per gate operation).
     ///
+    /// Per wide batch the good machine runs once as a full pass and
+    /// seeds the faulty buffer; each live group then re-evaluates only
+    /// its fanout cone, is compared, and has the cone's nets restored
+    /// from the good words.
+    ///
     /// Wide verdicts are consumed one limb at a time in scalar-batch
-    /// order — tallies, drop points and `batch_evals` (limbs tallied,
-    /// the scalar path's per-batch count) are lane-width invariant.
+    /// order — tallies, drop points, `batch_evals` (limbs tallied,
+    /// the scalar path's per-batch count) and `gates_evaluated` (cone
+    /// size × limbs tallied) are lane-width invariant.
     fn run_chunk<const L: usize>(
         &self,
         chunk: &[Vec<StuckAtLine>],
         skip: &[bool],
-        batch_evals: &AtomicU64,
+        counters: &ChunkCounters,
     ) -> Vec<FaultOutcome> {
         let engine = self.engine;
         let mut outcomes: Vec<FaultOutcome> = vec![FaultOutcome::default(); chunk.len()];
         let mut live: Vec<usize> = (0..chunk.len())
             .filter(|&k| !skip.get(k).copied().unwrap_or(false))
             .collect();
+        let cones = BlockCones::build(engine, chunk, &live);
         let mut good = Vec::new();
-        let mut faulty = Vec::new();
+        let mut faulty: Vec<Words<L>> = Vec::new();
         let mut evals = 0u64;
+        let mut gates = 0u64;
         for wide in self.plan.wide_stream::<L>(engine.input_bits()) {
             if live.is_empty() {
                 break;
@@ -362,15 +377,21 @@ impl<'a> EngineCampaign<'a> {
                 engine.compare_wide(&good, &good, wide.mask).alarm.is_zero(),
                 "good machine must be alarm-free"
             );
+            faulty.clone_from(&good);
             let drop = self.drop;
             live.retain(|&k| {
-                engine.eval_wide_into(&wide, &chunk[k], &mut faulty);
+                let cone = cones.of(k);
+                engine.eval_cone(&wide.bits, cone, &chunk[k], &mut faulty);
                 let v = engine.compare_wide(&good, &faulty, wide.mask);
+                for &g in cone {
+                    faulty[g as usize] = good[g as usize];
+                }
                 let o = &mut outcomes[k];
                 let mut decided = false;
                 for limb in 0..wide.limbs {
                     let (cs, cd, ed, eu) = v.limb(limb).counts();
                     evals += 1;
+                    gates += cone.len() as u64;
                     o.tally.correct_silent += cs;
                     o.tally.correct_detected += cd;
                     o.tally.error_detected += ed;
@@ -390,9 +411,78 @@ impl<'a> EngineCampaign<'a> {
                 !decided
             });
         }
-        batch_evals.fetch_add(evals, Ordering::Relaxed);
+        counters.batch_evals.fetch_add(evals, Ordering::Relaxed);
+        counters.gates_evaluated.fetch_add(gates, Ordering::Relaxed);
         outcomes
     }
+}
+
+/// The deterministic work counters every block adds to once.
+#[derive(Default)]
+struct ChunkCounters {
+    /// Limbs tallied (the scalar path's per-fault batch count).
+    batch_evals: AtomicU64,
+    /// Σ cone size × limbs tallied.
+    gates_evaluated: AtomicU64,
+}
+
+/// The fanout cones of one block's fault groups. A cone is built once
+/// per distinct set of faulted gates — stuck-at-0/1 twins and pin
+/// faults on one gate share it — and freed with the block.
+struct BlockCones {
+    gates: Vec<u32>,
+    /// Per group: its cone's span in `gates` (empty for skipped ones).
+    spans: Vec<Range<usize>>,
+}
+
+impl BlockCones {
+    fn build(engine: &Engine, groups: &[Vec<StuckAtLine>], live: &[usize]) -> Self {
+        let mut gates = Vec::new();
+        let mut spans = vec![0..0; groups.len()];
+        let mut marks = vec![0u64; engine.net_count().div_ceil(64)];
+        let mut stack = Vec::new();
+        // (representative group, cone span) per distinct gate set.
+        let mut built: Vec<(usize, Range<usize>)> = Vec::new();
+        for &k in live {
+            let shared = built
+                .iter()
+                .find(|(j, _)| faulted_gates(&groups[*j]).eq(faulted_gates(&groups[k])));
+            spans[k] = match shared {
+                Some((_, span)) => span.clone(),
+                None => {
+                    let start = gates.len();
+                    engine.fanout_cone_into(&groups[k], &mut marks, &mut stack, &mut gates);
+                    built.push((k, start..gates.len()));
+                    start..gates.len()
+                }
+            };
+        }
+        Self { gates, spans }
+    }
+
+    fn of(&self, k: usize) -> &[u32] {
+        &self.gates[self.spans[k].clone()]
+    }
+}
+
+/// The distinct gates a (gate-sorted) fault group names, ascending.
+fn faulted_gates(group: &[StuckAtLine]) -> impl Iterator<Item = usize> + '_ {
+    group
+        .iter()
+        .enumerate()
+        .filter(|&(i, f)| i == 0 || group[i - 1].site.gate != f.site.gate)
+        .map(|(_, f)| f.site.gate)
+}
+
+/// The limb count a campaign over `plan` runs at (see
+/// [`Lanes::limbs_for`]). An exhaustive plan too large to enumerate
+/// counts as unbounded; its stream panics on its own terms.
+pub(crate) fn fitted_limbs(lanes: Lanes, plan: &InputPlan, input_bits: usize) -> usize {
+    let vectors = match plan {
+        InputPlan::Exhaustive if input_bits >= 64 => u64::MAX,
+        plan => plan.vector_count(input_bits),
+    };
+    lanes.limbs_for(vectors)
 }
 
 /// Flushes one campaign's telemetry into `rec` under the `prefix.*`
@@ -586,18 +676,21 @@ mod tests {
                 groups.push(dp.correlated_fault(site, value));
             }
         }
-        let run = |threads: usize| {
+        let run = |threads: usize, lanes: Lanes| {
             let rec = Arc::new(Recorder::new());
             let summary = EngineCampaign::over(&engine, groups.clone())
                 .drop_policy(DropPolicy::OnDetect)
                 .threads(threads)
+                .lanes(lanes)
                 .recorder(Arc::clone(&rec))
                 .run();
             (summary, rec.snapshot())
         };
-        let (s1, t1) = run(1);
-        let (s4, t4) = run(4);
+        let (s1, t1) = run(1, Lanes::L1);
+        let (s4, t4) = run(4, Lanes::Auto);
+        let (_, t8) = run(3, Lanes::L8);
         assert_eq!(t1.deterministic_counters(), t4.deterministic_counters());
+        assert_eq!(t1.deterministic_counters(), t8.deterministic_counters());
         assert_eq!(t1.histograms, t4.histograms);
         assert_eq!(t1.counter("engine.faults"), Some(groups.len() as u64));
         assert_eq!(t1.counter("engine.situations"), Some(s1.simulated));
@@ -609,9 +702,16 @@ mod tests {
             .count() as u64;
         assert_eq!(t1.counter("engine.faults_dropped"), Some(dropped));
         assert!(t1.counter("engine.busy_ns").is_some(), "busy time recorded");
+        let batches = t1.counter("engine.fault_batches").unwrap();
+        assert!(batches > 0, "batch evaluations recorded");
+        // Σ cone size × limbs tallied: non-zero, and well below what
+        // full passes (every gate for every limb) would cost.
+        let gates = t1.counter("engine.gates_evaluated").unwrap();
+        assert!(gates > 0, "cone work recorded");
         assert!(
-            t1.counter("engine.fault_batches").unwrap() > 0,
-            "batch evaluations recorded"
+            gates < batches * engine.net_count() as u64,
+            "cones are smaller than the netlist ({gates} vs {batches} x {})",
+            engine.net_count()
         );
     }
 

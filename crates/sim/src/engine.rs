@@ -1,9 +1,15 @@
 //! The levelized bit-parallel gate evaluator.
 //!
-//! Evaluation is generic over [`LaneWord`]: the same forward pass runs
-//! on single `u64` words (64 vectors per gate op, the public
+//! Evaluation is generic over [`LaneWord`]: the same gate loop runs on
+//! single `u64` words (64 vectors per gate op, the public
 //! differential-test path) or on [`Words<L>`] wide words (256/512
 //! vectors per gate op, the campaign hot path).
+//!
+//! The loop walks an ascending list of gates. The good machine (and the
+//! public `eval_*` API) walks every gate; a campaign's faulty machines
+//! walk only their fault group's transitive fanout *cone* — the only
+//! nets whose value can differ from the good machine — over a buffer
+//! seeded from the good machine's words ([`Engine::eval_cone`]).
 
 use crate::batch::{InputBatch, WideBatch};
 use crate::error::SimError;
@@ -13,15 +19,22 @@ use scdp_netlist::{GateKind, Netlist, StuckAtLine};
 /// A netlist compiled for bit-parallel evaluation.
 ///
 /// Construction copies the gate array into structure-of-arrays form
-/// (kind / input-a / input-b as parallel `Vec`s) and resolves the
-/// output roles: every bus named `error` is an *alarm* bus, every other
-/// output bus is part of the *result*. Netlists are already stored in
-/// topological order, so evaluation is one forward pass.
+/// (kind / input-a / input-b as parallel `Vec`s, with an `Input` gate's
+/// input-a slot holding its primary-input ordinal), builds a reader
+/// (fanout) index and resolves the output roles: every bus named
+/// `error` is an *alarm* bus, every other output bus is part of the
+/// *result*. Netlists are already stored in topological order, so any
+/// ascending gate list — the whole netlist or one fault cone — is
+/// evaluated in a single forward sweep.
 #[derive(Clone, Debug)]
 pub struct Engine {
     kinds: Vec<GateKind>,
     a: Vec<u32>,
     b: Vec<u32>,
+    /// Reader index in CSR form: the gates reading net `n` are
+    /// `readers[reader_start[n]..reader_start[n + 1]]`.
+    reader_start: Vec<u32>,
+    readers: Vec<u32>,
     input_bits: usize,
     result_nets: Vec<u32>,
     alarm_nets: Vec<u32>,
@@ -102,13 +115,36 @@ impl Engine {
             "combinational engine cannot evaluate a sequential netlist; use SeqEngine"
         );
         let gates = netlist.gates();
-        let mut kinds = Vec::with_capacity(gates.len());
-        let mut a = Vec::with_capacity(gates.len());
-        let mut b = Vec::with_capacity(gates.len());
+        let n = gates.len();
+        let mut kinds = Vec::with_capacity(n);
+        let mut a = Vec::with_capacity(n);
+        let mut b = Vec::with_capacity(n);
+        let mut next_input = 0u32;
+        let mut fanout = vec![0u32; n + 1];
         for g in gates {
             kinds.push(g.kind);
-            a.push(g.a.map_or(0, |n| n.index() as u32));
+            if g.kind == GateKind::Input {
+                a.push(next_input);
+                next_input += 1;
+            } else {
+                a.push(g.a.map_or(0, |n| n.index() as u32));
+            }
             b.push(g.b.map_or(0, |n| n.index() as u32));
+            for net in [g.a, g.b].into_iter().flatten() {
+                fanout[net.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            fanout[i + 1] += fanout[i];
+        }
+        let reader_start = fanout.clone();
+        let mut readers = vec![0u32; fanout[n] as usize];
+        for (i, g) in gates.iter().enumerate() {
+            for net in [g.a, g.b].into_iter().flatten() {
+                let slot = &mut fanout[net.index()];
+                readers[*slot as usize] = i as u32;
+                *slot += 1;
+            }
         }
         let mut result_nets = Vec::new();
         let mut alarm_nets = Vec::new();
@@ -124,6 +160,8 @@ impl Engine {
             kinds,
             a,
             b,
+            reader_start,
+            readers,
             input_bits: netlist.input_bits(),
             result_nets,
             alarm_nets,
@@ -200,7 +238,7 @@ impl Engine {
         self.eval_words_into(&batch.bits, faults, values);
     }
 
-    /// The generic forward pass shared by the scalar and wide paths.
+    /// The generic full pass shared by the scalar and wide paths.
     fn eval_words_into<W: LaneWord>(
         &self,
         bits: &[W],
@@ -208,17 +246,48 @@ impl Engine {
         values: &mut Vec<W>,
     ) {
         assert_eq!(bits.len(), self.input_bits, "input bit count mismatch");
+        values.clear();
+        values.resize(self.kinds.len(), W::ZERO);
+        self.eval_gates(0..self.kinds.len(), bits, faults, values);
+    }
+
+    /// Re-evaluates only `cone` under `faults`, in place over `values`.
+    ///
+    /// `values` must hold the good machine's words for the same batch,
+    /// and `cone` must be the ascending transitive fanout of the gates
+    /// `faults` name (see [`Engine::fanout_cone_into`]). Every net
+    /// outside the cone keeps its good value, which is exactly its
+    /// faulty value, so `values` then equals a full faulty pass. The
+    /// caller restores the cone's nets from the good words before the
+    /// next group.
+    pub(crate) fn eval_cone<W: LaneWord>(
+        &self,
+        bits: &[W],
+        cone: &[u32],
+        faults: &[StuckAtLine],
+        values: &mut [W],
+    ) {
+        self.eval_gates(cone.iter().map(|&g| g as usize), bits, faults, values);
+    }
+
+    /// The gate loop: evaluates `gates` (ascending, so every operand
+    /// is final when read) into `values`, forcing `faults`. Faulted
+    /// gates must all be in `gates`.
+    #[inline(always)]
+    fn eval_gates<W: LaneWord>(
+        &self,
+        gates: impl Iterator<Item = usize>,
+        bits: &[W],
+        faults: &[StuckAtLine],
+        values: &mut [W],
+    ) {
         debug_assert!(
             faults.windows(2).all(|w| w[0].site.gate <= w[1].site.gate),
             "fault list must be sorted by gate"
         );
-        let n = self.kinds.len();
-        values.clear();
-        values.resize(n, W::ZERO);
-        let mut next_input = 0usize;
         let mut fi = 0usize;
         let mut fault_gate = faults.first().map_or(usize::MAX, |f| f.site.gate);
-        for i in 0..n {
+        for i in gates {
             let out = if i == fault_gate {
                 // Slow path: apply every fault attached to this gate.
                 let mut pin0 = None;
@@ -241,11 +310,7 @@ impl Engine {
                     pin.map_or(values[net as usize], W::splat)
                 };
                 let out = match self.kinds[i] {
-                    GateKind::Input => {
-                        let v = bits[next_input];
-                        next_input += 1;
-                        v
-                    }
+                    GateKind::Input => bits[self.a[i] as usize],
                     GateKind::Const(c) => W::splat(c),
                     GateKind::Not => !read(pin0, self.a[i], values),
                     GateKind::Buf => read(pin0, self.a[i], values),
@@ -258,11 +323,7 @@ impl Engine {
                 stem.map_or(out, W::splat)
             } else {
                 match self.kinds[i] {
-                    GateKind::Input => {
-                        let v = bits[next_input];
-                        next_input += 1;
-                        v
-                    }
+                    GateKind::Input => bits[self.a[i] as usize],
                     GateKind::Const(c) => W::splat(c),
                     GateKind::Not => !values[self.a[i] as usize],
                     GateKind::Buf => values[self.a[i] as usize],
@@ -272,6 +333,58 @@ impl Engine {
             // Lanes beyond the batch length hold junk; harmless, masked
             // later.
             values[i] = out;
+        }
+    }
+
+    /// Appends the transitive fanout cone of the gates `faults` name —
+    /// those gates and every gate reading, directly or not, one of
+    /// their nets — to `cone` in ascending (topological) order.
+    ///
+    /// `marks` is a scratch bitset of at least `net_count()` bits; it
+    /// must be all clear on entry and is left all clear. `stack` is
+    /// scratch. The cone comes out sorted because it is read off the
+    /// bitset word by word, not collected in visit order.
+    pub(crate) fn fanout_cone_into(
+        &self,
+        faults: &[StuckAtLine],
+        marks: &mut [u64],
+        stack: &mut Vec<u32>,
+        cone: &mut Vec<u32>,
+    ) {
+        let mut lo = usize::MAX;
+        let mut hi = 0usize;
+        let mut mark = |g: usize, marks: &mut [u64]| -> bool {
+            let (w, bit) = (g / 64, 1u64 << (g % 64));
+            let fresh = marks[w] & bit == 0;
+            marks[w] |= bit;
+            lo = lo.min(w);
+            hi = hi.max(w);
+            fresh
+        };
+        stack.clear();
+        for f in faults {
+            if mark(f.site.gate, marks) {
+                stack.push(f.site.gate as u32);
+            }
+        }
+        while let Some(net) = stack.pop() {
+            let net = net as usize;
+            let span = self.reader_start[net] as usize..self.reader_start[net + 1] as usize;
+            for &r in &self.readers[span] {
+                if mark(r as usize, marks) {
+                    stack.push(r);
+                }
+            }
+        }
+        if lo == usize::MAX {
+            return;
+        }
+        for (w, word) in marks[lo..=hi].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                cone.push(((lo + w) * 64 + bits.trailing_zeros() as usize) as u32);
+                bits &= bits - 1;
+            }
         }
     }
 

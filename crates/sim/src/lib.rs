@@ -20,6 +20,13 @@
 //!   the word at the faulty stem, or by overriding one operand word at a
 //!   faulty input pin — faults touch only their own gate, so the fast
 //!   path stays branch-free.
+//! * **Cone-restricted evaluation**: a fault can change only the nets in
+//!   its transitive fanout cone. The campaign driver seeds a faulty
+//!   buffer from the good machine's words once per batch, re-evaluates
+//!   just each fault group's cone (built once per distinct set of
+//!   faulted gates from a reader index), compares, and restores the
+//!   cone from the good words — on the w8 FIR datapath a group's cone
+//!   is about a tenth of the netlist.
 //! * **Fault dropping** ([`DropPolicy`]): a fault leaves the simulated
 //!   universe as soon as its verdict is decided. Detection-style
 //!   campaigns drop on the first alarmed batch
@@ -47,11 +54,13 @@
 //! block order at the join barrier. `rayon` would provide the same
 //! fork-join shape, but the build environment is offline, so the pool
 //! uses `std::thread::scope` and an atomic work index directly. The
-//! packing itself is lane-width generic ([`Words`], [`Lanes`]): the
-//! drivers default to 8×`u64` wide words — 512 situations per gate
-//! operation, auto-vectorised to the hardware's widest SIMD — and
-//! consume verdicts limb by limb so every tally, drop point and
-//! latency histogram stays bit-identical to the 64-lane path.
+//! packing itself is lane-width generic ([`Words`], [`Lanes`]): by
+//! default the drivers fit the width to the plan — the narrowest of
+//! 1, 4 or 8 `u64` limbs (up to 512 situations per gate operation,
+//! auto-vectorised to the hardware's SIMD) that holds a fault's
+//! vectors — and consume verdicts limb by limb so every tally, drop
+//! point and latency histogram stays bit-identical to the 64-lane
+//! path.
 //!
 //! # Relation to the paper's situation taxonomy
 //!

@@ -23,16 +23,21 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::error::SimError;
 
 /// A sensible default worker count: the machine's available
 /// parallelism, 1 if it cannot be queried.
+///
+/// Queried once per process: on Linux the query reads cgroup files
+/// (tens of microseconds), which every campaign construction would
+/// otherwise pay — as much as a small campaign's whole simulation.
 #[must_use]
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Work-block size for `n` items on `threads` workers.

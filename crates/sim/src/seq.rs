@@ -534,7 +534,8 @@ impl<'a> SeqCampaign<'a> {
 
     /// Selects the SIMD lane width (wide words per gate operation).
     /// Results are bit-identical at every width; [`Lanes::Auto`] picks
-    /// the widest supported path.
+    /// the narrowest width holding the plan's vectors per fault (see
+    /// [`Lanes::limbs_for`]).
     #[must_use]
     pub fn lanes(mut self, lanes: Lanes) -> Self {
         self.lanes = lanes;
@@ -652,8 +653,9 @@ impl<'a> SeqCampaign<'a> {
         let block = par::auto_block(scoped.len(), self.threads);
         let batch_evals = AtomicU64::new(0);
         let probe = [SeqFaultGroup::new(Vec::new(), FaultDuration::Permanent)];
+        let limbs = crate::campaign::fitted_limbs(self.lanes, &self.plan, self.engine.input_bits());
         let baseline: Option<SeqFaultOutcome> = skip_mask.contains(&true).then(|| {
-            match self.lanes.limbs() {
+            match limbs {
                 1 => self.run_chunk::<1>(&probe, &[false], &batch_evals),
                 4 => self.run_chunk::<4>(&probe, &[false], &batch_evals),
                 _ => self.run_chunk::<8>(&probe, &[false], &batch_evals),
@@ -661,7 +663,7 @@ impl<'a> SeqCampaign<'a> {
             .pop()
             .expect("probe chunk yields one outcome")
         });
-        let (mut per_fault, stats) = match self.lanes.limbs() {
+        let (mut per_fault, stats) = match limbs {
             1 => par::run_blocks(scoped.len(), self.threads, block, |r| {
                 self.run_chunk::<1>(&scoped[r.clone()], &skip_mask[r], &batch_evals)
             })?,

@@ -163,14 +163,16 @@ impl<const L: usize> Not for Words<L> {
 
 /// Lane-width selection for the packed campaign drivers.
 ///
-/// `Auto` resolves to the widest supported configuration (8 limbs, 512
-/// vectors per gate operation); the explicit variants pin the width for
+/// `Auto` lets each campaign fit the width to its input plan: the
+/// narrowest width whose one wide batch holds every vector a fault
+/// sees, capped at 8 limbs ([`Lanes::limbs_for`]) — wider words would
+/// only evaluate empty limbs. The explicit variants pin the width for
 /// differential testing and benchmarking. Results are bit-identical at
 /// every width — the drivers consume wide verdicts limb by limb in
 /// scalar-batch order — so this knob trades nothing but throughput.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Lanes {
-    /// Widest supported path (currently [`Lanes::L8`]).
+    /// Fitted per campaign to the plan's vectors per fault.
     #[default]
     Auto,
     /// One 64-lane word per operation (the original engine).
@@ -185,13 +187,27 @@ impl Lanes {
     /// The lane widths a campaign driver can be asked to pin.
     pub const CHOICES: [Lanes; 3] = [Lanes::L1, Lanes::L4, Lanes::L8];
 
-    /// Number of 64-bit limbs this selection resolves to.
+    /// Number of 64-bit limbs this selection resolves to when nothing
+    /// is known of the plan: `Auto` counts as the widest (8 limbs).
     #[must_use]
     pub const fn limbs(self) -> usize {
         match self {
             Lanes::L1 => 1,
             Lanes::L4 => 4,
             Lanes::Auto | Lanes::L8 => 8,
+        }
+    }
+
+    /// Number of limbs a campaign with `vectors` input vectors per
+    /// fault runs at. Explicit widths are kept; `Auto` takes the
+    /// narrowest holding them: ≤ 64 vectors → 1 limb, ≤ 256 → 4,
+    /// otherwise 8.
+    #[must_use]
+    pub const fn limbs_for(self, vectors: u64) -> usize {
+        match self {
+            Lanes::Auto if vectors <= 64 => 1,
+            Lanes::Auto if vectors <= 256 => 4,
+            lanes => lanes.limbs(),
         }
     }
 
@@ -247,5 +263,13 @@ mod tests {
         assert_eq!(Lanes::from_limbs(4), Some(Lanes::L4));
         assert_eq!(Lanes::from_limbs(3), None);
         assert_eq!(Lanes::default(), Lanes::Auto);
+        assert_eq!(Lanes::Auto.limbs_for(1), 1);
+        assert_eq!(Lanes::Auto.limbs_for(64), 1);
+        assert_eq!(Lanes::Auto.limbs_for(65), 4);
+        assert_eq!(Lanes::Auto.limbs_for(256), 4);
+        assert_eq!(Lanes::Auto.limbs_for(257), 8);
+        assert_eq!(Lanes::Auto.limbs_for(u64::MAX), 8);
+        assert_eq!(Lanes::L8.limbs_for(1), 8);
+        assert_eq!(Lanes::L1.limbs_for(1 << 20), 1);
     }
 }
